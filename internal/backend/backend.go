@@ -208,8 +208,9 @@ func Drive(ctx context.Context, sched core.Scheduler, b Backend, opt Options) (*
 	}
 	em := &emitter{bus: opt.Events, exp: opt.Experiment, maxRung: -1}
 	inflight := 0
+	var pass []core.Job // a fill pass's staged jobs, launched once journaled
 	budgetExhausted := func() bool {
-		if opt.MaxJobs > 0 && run.IssuedJobs >= opt.MaxJobs {
+		if opt.MaxJobs > 0 && run.IssuedJobs+len(pass) >= opt.MaxJobs {
 			return true
 		}
 		if opt.MaxTime > 0 && b.Now()+clockOff >= opt.MaxTime {
@@ -226,7 +227,7 @@ loop:
 		// issued (and counted, and journaled) before the crash, so they
 		// relaunch without new issue records — a second crash and resume
 		// still sees exactly one issue per attempt.
-		for inflight < b.Capacity() && ctx.Err() == nil {
+		for inflight+len(pass) < b.Capacity() && ctx.Err() == nil {
 			if len(relaunch) > 0 {
 				job := relaunch[0]
 				relaunch = relaunch[1:]
@@ -241,17 +242,28 @@ loop:
 			if !ok {
 				break
 			}
-			// Write-ahead: a job whose issue record is not durable must
-			// never launch, or recovery could double-issue it.
-			if err := jw.issue(job); err != nil {
+			if err := jw.stageIssue(job); err != nil {
 				firstErr = err
 				break loop
 			}
+			pass = append(pass, job)
+		}
+		// Write-ahead: the pass's issue records are written, in one
+		// Write, before any of its jobs launches. A job whose issue record
+		// is not durable must never launch, or recovery could double-issue
+		// it; a crash mid-Write leaves whole issue lines only of jobs that
+		// never launched, which resume relaunches exactly once.
+		if err := jw.commit(); err != nil {
+			firstErr = err
+			break
+		}
+		for _, job := range pass {
 			b.Launch(job)
 			run.IssuedJobs++
 			inflight++
 			em.launched(job)
 		}
+		pass = pass[:0]
 		if inflight == 0 {
 			if opt.Gate != nil && opt.Gate.Paused() && ctx.Err() == nil &&
 				!budgetExhausted() && !sched.Done() {
@@ -273,23 +285,37 @@ loop:
 		if len(batch) == 0 {
 			break // backend clock expired
 		}
-		for _, c := range batch {
-			inflight--
+		// Write-ahead: the batch's report records are written, in one
+		// Write, before any of its results reaches the scheduler. The
+		// journal is always a superset of scheduler state, so replay can
+		// only over-approximate — never lose — a delivered result. A fatal
+		// completion ends the batch unjournaled and uningested.
+		settle, fatal := batch, error(nil)
+		for i, c := range batch {
 			if c.Err != nil {
-				if ctx.Err() == nil {
-					firstErr = c.Err
-				}
-				break loop
+				settle, fatal = batch[:i], c.Err
+				break
 			}
 			c.Time += clockOff
-			// Write-ahead: the journal is always a superset of scheduler
-			// state, so replay can only over-approximate — never lose — a
-			// delivered result.
-			if err := jw.report(c); err != nil {
+			if err := jw.stageReport(c); err != nil {
 				firstErr = err
 				break loop
 			}
+		}
+		if err := jw.commit(); err != nil {
+			firstErr = err
+			break
+		}
+		for _, c := range settle {
+			inflight--
+			c.Time += clockOff
 			ingest(sched, run, opt, em, c)
+		}
+		if fatal != nil {
+			if ctx.Err() == nil {
+				firstErr = fatal
+			}
+			break
 		}
 		if err := jw.maybeSnapshot(run, b, b.Now()+clockOff); err != nil {
 			firstErr = err

@@ -16,8 +16,10 @@ func SeenKey(trial, rung int) int64 { return int64(trial)<<16 | int64(rung&0xfff
 
 // AnnotateIssue builds the journal record for one scheduler decision,
 // classifying it as a fresh sample, a promotion, or a retry against the
-// set of (trial, rung) pairs already issued — which it updates. Shared
-// by the engine's journal writer and the manager's.
+// set of (trial, rung) pairs already issued — which it updates. The
+// configuration rides in the issue's dense Names/Values form, borrowed
+// from the job, so the record costs no map. Shared by the engine's
+// journal writer and the manager's.
 func AnnotateIssue(seen map[int64]struct{}, job core.Job) state.Issue {
 	key := SeenKey(job.TrialID, job.Rung)
 	kind := state.KindSample
@@ -33,7 +35,8 @@ func AnnotateIssue(seen map[int64]struct{}, job core.Job) state.Issue {
 		Target:  job.TargetResource,
 		Inherit: job.InheritFrom,
 		Kind:    kind,
-		Config:  job.Config.Map(),
+		Names:   job.Config.Names(),
+		Values:  job.Config.Values(),
 	}
 }
 
@@ -70,16 +73,18 @@ func (w *journalWriter) prime(rs *ResumeState) {
 	}
 }
 
-// issue journals one scheduler decision, write-ahead of its launch.
-func (w *journalWriter) issue(job core.Job) error {
+// stageIssue stages the record of one scheduler decision; the job may
+// launch once commit has written it.
+func (w *journalWriter) stageIssue(job core.Job) error {
 	if w.j == nil {
 		return nil
 	}
-	return w.j.AppendIssue(AnnotateIssue(w.seen, job))
+	return w.j.StageIssue(AnnotateIssue(w.seen, job))
 }
 
-// report journals one completion, write-ahead of its scheduler delivery.
-func (w *journalWriter) report(c Completion) error {
+// stageReport stages the record of one completion; the result may reach
+// the scheduler once commit has written it.
+func (w *journalWriter) stageReport(c Completion) error {
 	if w.j == nil {
 		return nil
 	}
@@ -91,7 +96,15 @@ func (w *journalWriter) report(c Completion) error {
 		rep.Resource = c.Resource
 	}
 	w.sinceSnap++
-	return w.j.AppendReport(rep)
+	return w.j.StageReport(rep)
+}
+
+// commit writes every staged record with one Write.
+func (w *journalWriter) commit() error {
+	if w.j == nil {
+		return nil
+	}
+	return w.j.Commit()
 }
 
 // maybeSnapshot writes a periodic snapshot once enough completions have

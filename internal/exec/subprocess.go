@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/state"
 )
 
 // The subprocess wire protocol is JSON Lines over stdin/stdout: the
@@ -79,16 +80,16 @@ func RunJob(ctx context.Context, obj Objective, req Request) (Response, error) {
 	if req.Version != WireVersion {
 		return Response{}, fmt.Errorf("exec: peer speaks wire version %d, worker speaks %d", req.Version, WireVersion)
 	}
-	var state interface{}
+	var ckpt interface{}
 	if len(req.State) > 0 {
 		if f, ok := parseNumberState(req.State); ok {
-			state = f
-		} else if err := json.Unmarshal(req.State, &state); err != nil {
+			ckpt = f
+		} else if err := json.Unmarshal(req.State, &ckpt); err != nil {
 			return Response{}, fmt.Errorf("exec: worker failed to decode state: %w", err)
 		}
 	}
 	resp := Response{Version: WireVersion, ID: req.ID}
-	loss, newState, err := obj(WithTrialID(ctx, req.Trial), req.Config, req.From, req.To, state)
+	loss, newState, err := obj(WithTrialID(ctx, req.Trial), req.Config, req.From, req.To, ckpt)
 	if err != nil {
 		resp.Error = err.Error()
 		return resp, nil
@@ -96,7 +97,7 @@ func RunJob(ctx context.Context, obj Objective, req Request) (Response, error) {
 	resp.Loss = loss
 	if newState != nil {
 		if f, ok := newState.(float64); ok && !math.IsNaN(f) && !math.IsInf(f, 0) {
-			resp.State = appendJSONFloat(make([]byte, 0, 24), f)
+			resp.State = state.AppendJSONFloat(make([]byte, 0, 24), f)
 		} else if raw, merr := json.Marshal(newState); merr != nil {
 			resp.Error = fmt.Sprintf("state not JSON-serializable: %v", merr)
 		} else {
@@ -127,27 +128,6 @@ func parseNumberState(raw []byte) (float64, bool) {
 	}
 	f, err := strconv.ParseFloat(string(raw), 64)
 	return f, err == nil
-}
-
-// appendJSONFloat appends f exactly as encoding/json encodes a float64
-// (shortest round-trip form, exponent notation only beyond 1e21/1e-6,
-// the exponent's leading zero trimmed), so a checkpoint written through
-// the fast path is byte-identical to one written by json.Marshal — the
-// resume-parity goldens depend on that.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }
 
 // Serve implements the worker side of the protocol: it decodes requests

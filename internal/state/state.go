@@ -82,6 +82,14 @@ type Issue struct {
 	// exec wire encodes it. Replay validates it bit-for-bit against the
 	// scheduler's regenerated decision.
 	Config map[string]float64 `json:"config,omitempty"`
+	// Names and Values are the write side's dense form of Config: the
+	// configuration's parameter names and values, both in its table
+	// order. When Config is empty the journal encodes them as the same
+	// name-keyed object, keys sorted, byte for byte what Config would
+	// encode to — so issuing a job builds no map. Decoding always fills
+	// Config and leaves these nil.
+	Names  []string  `json:"-"`
+	Values []float64 `json:"-"`
 }
 
 // Issue kinds.
@@ -202,6 +210,9 @@ func (r *Record) Validate() error {
 	}
 	if n != 1 {
 		return fmt.Errorf("state: record carries %d payloads, want exactly 1", n)
+	}
+	if r.Issue != nil && len(r.Issue.Names) != len(r.Issue.Values) {
+		return fmt.Errorf("state: issue carries %d parameter names for %d values", len(r.Issue.Names), len(r.Issue.Values))
 	}
 	return nil
 }
